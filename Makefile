@@ -37,10 +37,14 @@ bench:
 benchjson:
 	$(GO) run ./cmd/experiments -benchjson BENCH_8.json
 
-# Short fuzz pass over the wire codec: arbitrary bytes must decode to
-# an error or a valid frame — never a panic or an absurd allocation.
+# Short fuzz passes over the two decoders that read bytes from the
+# wire or from disk: the distsim frame codec and the parsim message op
+# argument (pending messages ride in checkpoint files). Arbitrary bytes
+# must decode to an error or a valid value — never a panic or an
+# absurd allocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/parsim/
 
 # trace-smoke runs a quick traced E5 federation and validates the
 # Chrome trace output: ObserveE5 re-reads the written file through a

@@ -2,12 +2,11 @@ package parsim
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/checkpoint"
-	"repro/internal/des"
 )
 
 // This file implements federation-level checkpoint/restore. A snapshot
@@ -26,31 +25,21 @@ const (
 	secModel = "parsim.model"
 )
 
-// EnableCheckpointing switches cross-LP message delivery from closures
-// to a registered op ("parsim.msg") carrying the gob-encoded Message,
-// so pending deliveries can ride in a snapshot. It must be called
-// before Run; it is idempotent. Message payloads (Message.Data) must
-// be gob-encodable — register concrete payload types with
-// gob.Register.
-//
-// The op path costs one encode/decode per remote message; federations
-// that never checkpoint keep the closure fast path by not calling
-// this.
-func (f *Federation) EnableCheckpointing() {
-	if f.msgOps != nil {
-		return
+// msgOpName names the registered op that delivers cross-LP messages.
+// Its argument is the message in the encodeMessage layout; the name
+// changes whenever that layout does, so a snapshot holding messages in
+// an older layout fails Restore with an unregistered-op error instead
+// of failing at its first delivery.
+const msgOpName = "parsim.msg/bin"
+
+// deliverOp is the message op's callback: decode the argument and hand
+// the message to the LP's handler.
+func (lp *LP) deliverOp(arg []byte) {
+	m, err := decodeMessage(arg)
+	if err != nil {
+		panic(fmt.Sprintf("parsim: LP %d: %v", lp.Index, err))
 	}
-	f.msgOps = make([]des.Op, len(f.lps))
-	for i, lp := range f.lps {
-		lp := lp
-		f.msgOps[i] = lp.E.RegisterOp("parsim.msg", func(arg []byte) {
-			m, err := decodeMessage(arg)
-			if err != nil {
-				panic(fmt.Sprintf("parsim: corrupt message op argument: %v", err))
-			}
-			lp.OnMessage(m)
-		})
-	}
+	lp.OnMessage(m)
 }
 
 // SetModel attaches the model's serializable state to federation
@@ -64,11 +53,8 @@ func (f *Federation) SetModel(m checkpoint.Checkpointable) { f.model = m }
 func (f *Federation) Clock() float64 { return f.clock }
 
 // Checkpoint writes a federation snapshot to w. It must be called
-// between Run calls (at a window barrier) with checkpointing enabled.
+// between Run calls (at a window barrier).
 func (f *Federation) Checkpoint(w io.Writer) error {
-	if f.msgOps == nil {
-		return fmt.Errorf("parsim: Checkpoint without EnableCheckpointing")
-	}
 	for _, lp := range f.lps {
 		for t, msgs := range lp.outbox {
 			if len(msgs) != 0 {
@@ -86,17 +72,22 @@ func (f *Federation) Checkpoint(w io.Writer) error {
 	if err := cw.Section(secFed, enc.Bytes()); err != nil {
 		return err
 	}
+	// One engine buffer and one section buffer serve every LP: the
+	// writer has consumed a section before the next LP reuses them.
+	var engSnap bytes.Buffer
+	var lpBuf []byte
 	for _, lp := range f.lps {
-		var engSnap bytes.Buffer
+		engSnap.Reset()
 		if err := lp.E.Checkpoint(&engSnap); err != nil {
 			return fmt.Errorf("parsim: LP %d: %w", lp.Index, err)
 		}
-		var lpEnc checkpoint.Enc
+		lpEnc := checkpoint.NewEnc(lpBuf)
 		lpEnc.Int(lp.Index)
 		lpEnc.U64(lp.sent)
 		lpEnc.U64(lp.recv)
 		lpEnc.Raw(engSnap.Bytes())
-		if err := cw.Section(secLP, lpEnc.Bytes()); err != nil {
+		lpBuf = lpEnc.Bytes()
+		if err := cw.Section(secLP, lpBuf); err != nil {
 			return err
 		}
 	}
@@ -118,9 +109,6 @@ func (f *Federation) Checkpoint(w io.Writer) error {
 // be constructed first, then restored over); the worker count may
 // differ — results are worker-count independent either way.
 func (f *Federation) Restore(r io.Reader) error {
-	if f.msgOps == nil {
-		return fmt.Errorf("parsim: Restore without EnableCheckpointing")
-	}
 	snap, err := checkpoint.Read(r)
 	if err != nil {
 		return err
@@ -189,19 +177,46 @@ func (f *Federation) Restore(r io.Reader) error {
 	return nil
 }
 
-// encodeMessage serializes a cross-LP message for the op-based
-// delivery path. Payloads must be gob-encodable; a failure here is a
-// model bug (an unregistered concrete type), reported loudly.
+// encodeMessage serializes a cross-LP message as its delivery time
+// (fixed 8 bytes), sender index (uvarint) and length-prefixed payload,
+// into a buffer of exactly encodedLen bytes.
 func encodeMessage(m *Message) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		panic(fmt.Sprintf("parsim: message payload is not gob-encodable (register it with gob.Register): %v", err))
-	}
-	return buf.Bytes()
+	enc := checkpoint.NewEnc(make([]byte, 0, encodedLen(m.From, len(m.Data))))
+	enc.F64(m.Time)
+	enc.Int(m.From)
+	enc.Raw(m.Data)
+	return enc.Bytes()
 }
 
+// decodeMessage parses an encodeMessage argument. Data aliases arg.
+// Anything but the exact canonical encoding is rejected: a short arg,
+// trailing bytes, an overlong varint, or a sender index beyond int.
 func decodeMessage(arg []byte) (Message, error) {
-	var m Message
-	err := gob.NewDecoder(bytes.NewReader(arg)).Decode(&m)
-	return m, err
+	d := checkpoint.NewDec(arg)
+	t := d.F64()
+	from := d.U64()
+	data := d.RawView()
+	if err := d.Err(); err != nil {
+		return Message{}, fmt.Errorf("corrupt message: %w", err)
+	}
+	// Each decoded varint is at least its canonical length, so the
+	// total matches the canonical size only if both are canonical and
+	// nothing trails.
+	if from > math.MaxInt || len(arg) != encodedLen(int(from), len(data)) {
+		return Message{}, fmt.Errorf("corrupt message: %d bytes, not a canonical encoding", len(arg))
+	}
+	return Message{Time: t, From: int(from), Data: data}, nil
+}
+
+// encodedLen is the size of a message's canonical encoding.
+func encodedLen(from, dataLen int) int {
+	return 8 + uvarintLen(uint64(from)) + uvarintLen(uint64(dataLen)) + dataLen
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }

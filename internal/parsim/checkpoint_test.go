@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 )
@@ -131,18 +132,34 @@ func TestFederationRestoreValidation(t *testing.T) {
 		t.Fatal("lookahead mismatch accepted")
 	}
 
+	// A bare federation has its message ops, but no model is attached
+	// while the snapshot carries model state.
 	bare := NewFederation(ckLPs, ckLookahead, 1, ckSeed)
-	if err := bare.Checkpoint(io.Discard); err == nil {
-		t.Fatal("Checkpoint without EnableCheckpointing accepted")
-	}
-	if err := bare.Restore(bytes.NewReader(snap.Bytes())); err == nil {
-		t.Fatal("Restore without EnableCheckpointing accepted")
-	}
-	bare.EnableCheckpointing()
-	// Ops now exist, but no model is attached while the snapshot carries
-	// model state.
 	if err := bare.Restore(bytes.NewReader(snap.Bytes())); err == nil {
 		t.Fatal("model-state mismatch accepted")
+	}
+}
+
+// TestOldMessageLayoutRejected pins that a snapshot holding a pending
+// message under the op name of an older message layout fails Restore
+// with the engine's unregistered-op error, instead of restoring and
+// then failing to decode at its first delivery.
+func TestOldMessageLayoutRejected(t *testing.T) {
+	old := ckPHOLD(1)
+	old.Run(5)
+	e := old.Fed.LP(0).E
+	op := e.RegisterOp("parsim.msg", func([]byte) {})
+	e.AtOp(e.Now()+ckLookahead, op, []byte{0x1c, 0xff})
+	var snap bytes.Buffer
+	if err := old.Fed.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	err := ckPHOLD(1).Fed.Restore(bytes.NewReader(snap.Bytes()))
+	if err == nil {
+		t.Fatal("snapshot with an old-layout message op accepted")
+	}
+	if !strings.Contains(err.Error(), `"parsim.msg"`) || !strings.Contains(err.Error(), "not registered") {
+		t.Fatalf("unexpected error: %v", err)
 	}
 }
 

@@ -40,8 +40,10 @@ type Message struct {
 	Time float64
 	// From is the sending LP index.
 	From int
-	// Data is the model payload.
-	Data any
+	// Data is the model payload. On delivery it aliases the pending
+	// event's argument: a handler that keeps it past its return must
+	// copy it.
+	Data []byte
 }
 
 // LP is one logical process: a partition of the model with a private
@@ -55,6 +57,9 @@ type LP struct {
 	// context at Message.Time. It must be set before Run.
 	OnMessage func(m Message)
 
+	// msgOp is the registered op that delivers cross-LP messages to
+	// this LP (see checkpoint.go).
+	msgOp des.Op
 	// outbox[target] buffers messages produced this window.
 	outbox [][]Message
 	sent   uint64
@@ -63,8 +68,10 @@ type LP struct {
 
 // Send schedules a message for the target LP at delay >= the
 // federation lookahead from the LP's current local time. It panics on
-// smaller delays: they would violate the synchronization window.
-func (lp *LP) Send(target int, delay float64, data any) {
+// smaller delays: they would violate the synchronization window. The
+// payload is copied at the window barrier; data must not be modified
+// before then.
+func (lp *LP) Send(target int, delay float64, data []byte) {
 	if delay < lp.fed.lookahead {
 		panic(fmt.Sprintf("parsim: Send with delay %v below lookahead %v", delay, lp.fed.lookahead))
 	}
@@ -112,11 +119,8 @@ type Federation struct {
 	// at the exact window boundary.
 	clock float64
 
-	// msgOps, when non-nil, holds the per-LP registered op used to
-	// deliver cross-LP messages serializably (see EnableCheckpointing);
 	// model is the attached Checkpointable state rider.
-	msgOps []des.Op
-	model  checkpoint.Checkpointable
+	model checkpoint.Checkpointable
 
 	// per-Run worker-pool state: windowEnd is published to the pool
 	// workers by the token barrier inside pl.Run.
@@ -162,6 +166,7 @@ func NewFederationWithQueue(n int, lookahead float64, workers int, seed uint64, 
 			fed:    f,
 			outbox: make([][]Message, n),
 		}
+		lp.msgOp = lp.E.RegisterOp(msgOpName, lp.deliverOp)
 		f.lps = append(f.lps, lp)
 	}
 	return f
@@ -382,8 +387,10 @@ func (f *Federation) observePhases(w int, waitStart, busyStart, busyEnd int64) {
 }
 
 // deliver flushes every outbox into the target engines, sequentially
-// and in deterministic order. Outboxes are truncated, not released:
-// the backing arrays are reused by the next window's sends.
+// and in deterministic order. Each message becomes a pending
+// registered-op event carrying its encoded form, so it can ride in a
+// snapshot. Outboxes are truncated, not released: the backing arrays
+// are reused by the next window's sends.
 func (f *Federation) deliver() {
 	for _, src := range f.lps {
 		for target := range src.outbox {
@@ -393,17 +400,9 @@ func (f *Federation) deliver() {
 			}
 			src.outbox[target] = msgs[:0]
 			dst := f.lps[target]
-			for _, m := range msgs {
-				m := m
+			for i := range msgs {
 				dst.recv++
-				if f.msgOps != nil {
-					// Checkpointable delivery: the pending event carries
-					// the encoded message instead of a closure, so it can
-					// ride in a snapshot (see checkpoint.go).
-					dst.E.AtOp(m.Time, f.msgOps[target], encodeMessage(&m))
-				} else {
-					dst.E.At(m.Time, func() { dst.OnMessage(m) })
-				}
+				dst.E.AtOp(msgs[i].Time, dst.msgOp, encodeMessage(&msgs[i]))
 			}
 		}
 	}
