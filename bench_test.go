@@ -123,8 +123,9 @@ func BenchmarkE3aCalendarResize(b *testing.B) {
 	}
 }
 
-// BenchmarkE4ThreadMapping reproduces claim C3: goroutine-per-job
-// active objects versus closures multiplexed on the engine context.
+// BenchmarkE4ThreadMapping reproduces claim C3: one active object (a
+// coroutine-backed process) per job versus closures multiplexed on the
+// engine context.
 func BenchmarkE4ThreadMapping(b *testing.B) {
 	const jobs, holds = 2000, 5
 	b.Run("goroutine-per-job", func(b *testing.B) {

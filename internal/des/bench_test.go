@@ -63,8 +63,9 @@ func BenchmarkScheduleExecuteTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessContextSwitch measures one Hold round trip — the
-// goroutine handover cost that E4's mapping comparison is built on.
+// BenchmarkProcessContextSwitch measures one Hold round trip: a
+// coroutine switch out of the process, the wake event, and a switch
+// back in. It is the handover cost E4's mapping comparison is built on.
 func BenchmarkProcessContextSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("bench", func(p *Process) {

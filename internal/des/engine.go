@@ -12,9 +12,9 @@
 //     versus O(log n) tree/heap structures — as the dominant factor in
 //     engine performance.
 //   - A process-oriented layer (Process, "active objects" in MONARC 2
-//     terminology) maps simulated concurrent programs onto goroutines
-//     with a strict handover protocol, so sequential runs remain fully
-//     deterministic.
+//     terminology) maps simulated concurrent programs onto runtime
+//     coroutines with a strict handover protocol, so sequential runs
+//     remain fully deterministic.
 //
 // Determinism: with equal seeds and equal schedules, runs are
 // bit-identical. Simultaneous events execute in schedule (FIFO) order,
@@ -70,9 +70,9 @@ type Engine struct {
 	// nil-check against it, which is the whole disabled-mode cost.
 	obs *Observer
 
-	// live process accounting (see process.go)
-	liveProcs    int
-	pendingPanic *procPanic
+	// live processes in spawn order (see process.go)
+	liveProcs          int
+	procHead, procTail *Process
 }
 
 // Option configures an Engine at construction time.

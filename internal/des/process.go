@@ -1,17 +1,29 @@
+// The go1.23 constraint sets this file's language version to Go 1.23,
+// which iter.Pull needs, while go.mod stays at go 1.22: the benchmark
+// module in perfbench/ pins go 1.22, and raising the root module past it
+// makes the benchmark's build fail with "updates to go.mod needed".
+// Delete the constraint once both go.mod files say go 1.23.
+
+//go:build go1.23
+
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Process is a simulated sequential activity — MONARC 2 calls these
 // "active objects": threaded entities with their own program counter
 // and stack that naturally express concurrently running programs,
 // network transfers and stochastic arrival patterns.
 //
-// Each Process runs on its own goroutine, but the engine enforces a
-// strict synchronous handover: at most one goroutine (either the
-// engine loop or exactly one process) executes at any instant, so
-// sequential simulations remain fully deterministic while models are
-// written as straight-line code with Hold/Acquire/Recv blocking calls.
+// Each Process runs as a runtime coroutine (iter.Pull), and the engine
+// enforces a strict synchronous handover: at most one of the engine
+// loop and the processes executes at any instant, so sequential
+// simulations remain fully deterministic while models are written as
+// straight-line code with Hold/Acquire/Recv blocking calls. A handover
+// is a direct coroutine switch, not a trip through the scheduler.
 //
 // All Process methods must be called from simulation context (from the
 // process's own body, another process body, or an event handler) —
@@ -27,12 +39,19 @@ type Process struct {
 	activateLabel  string
 	interruptLabel string
 
-	resume chan struct{}
-	yield  chan struct{}
+	// next resumes the body's coroutine until it yields or returns;
+	// yield, called by the body, hands control back and reports false
+	// once the coroutine is being stopped. next is created at the first
+	// resume, so a process that never starts never has a goroutine.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+
+	// prevLive and nextLive link the engine's live processes in spawn
+	// order (see Engine.Close).
+	prevLive, nextLive *Process
 
 	state      procState
 	blockToken uint64 // invalidates stale wake events
-	started    bool
 	killed     bool
 	interrupt  bool // set when the current block was broken by Interrupt
 
@@ -48,13 +67,9 @@ const (
 	procEnded
 )
 
-// errProcKilled is the sentinel panic value used to unwind a killed
-// process's goroutine.
+// procKilledSentinel is the panic value used to unwind a killed
+// process's coroutine.
 type procKilledSentinel struct{}
-
-// procPanic carries a panic out of a process goroutine back onto the
-// engine goroutine, preserving crash semantics for model bugs.
-type procPanic struct{ value any }
 
 // Spawn creates a process and schedules its first activation at the
 // current simulation time. The body runs as straight-line code using
@@ -71,10 +86,15 @@ func (e *Engine) SpawnAt(name string, delay float64, body func(*Process)) *Proce
 		wakeLabel:      name + ":wake",
 		activateLabel:  name + ":activate",
 		interruptLabel: name + ":interrupt",
-		resume:         make(chan struct{}),
-		yield:          make(chan struct{}),
 		body:           body,
+		prevLive:       e.procTail,
 	}
+	if e.procTail != nil {
+		e.procTail.nextLive = p
+	} else {
+		e.procHead = p
+	}
+	e.procTail = p
 	e.liveProcs++
 	e.ScheduleNamed(name+":start", delay, func() { p.resumeNow() })
 	return p
@@ -97,55 +117,77 @@ func (p *Process) Now() float64 { return p.e.now }
 // Ended reports whether the process body has returned.
 func (p *Process) Ended() bool { return p.state == procEnded }
 
-// run is the goroutine body: it waits for the first handover, executes
-// the model code, and performs the final handover back to the engine.
-func (p *Process) run() {
-	<-p.resume
-	var crash any
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilledSentinel); !ok {
-					crash = r
-				}
-			}
-		}()
-		p.body(p)
-	}()
-	p.state = procEnded
-	p.e.liveProcs--
-	if crash != nil {
-		p.e.pendingPanic = &procPanic{value: crash}
+// Close ends every live process in spawn order, so that none of their
+// coroutines outlives the simulation: a process that never started is
+// marked ended, and a blocked one unwinds as under Kill, running its
+// deferred functions. Those functions may schedule events; they stay
+// queued. Close is idempotent, and it panics if called while Run is
+// executing, where the processes it would unwind still hold state the
+// running events use.
+func (e *Engine) Close() {
+	if e.running {
+		panic("des: Close called while Run is executing")
 	}
-	p.yield <- struct{}{}
+	for e.procHead != nil {
+		e.procHead.Kill()
+	}
+}
+
+// end marks the process ended and unlinks it from the live list.
+func (p *Process) end() {
+	p.state = procEnded
+	e := p.e
+	e.liveProcs--
+	if p.prevLive != nil {
+		p.prevLive.nextLive = p.nextLive
+	} else {
+		e.procHead = p.nextLive
+	}
+	if p.nextLive != nil {
+		p.nextLive.prevLive = p.prevLive
+	} else {
+		e.procTail = p.prevLive
+	}
+	p.prevLive, p.nextLive = nil, nil
+}
+
+// run is the coroutine body: it executes the model code from the first
+// resume on. A panic other than the kill sentinel crosses next() and
+// is re-raised on the engine goroutine, preserving crash semantics for
+// model bugs.
+func (p *Process) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		p.end()
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilledSentinel); !ok {
+				panic(r)
+			}
+		}
+	}()
+	p.body(p)
 }
 
 // resumeNow transfers control to the process until it blocks or ends.
-// It must run on the engine goroutine (inside an event handler).
+// It must run in simulation context: an event handler, or Kill called
+// from a process body or from Close.
 func (p *Process) resumeNow() {
 	if p.state == procEnded {
 		return
 	}
-	if !p.started {
-		p.started = true
-		go p.run()
+	if p.next == nil {
+		p.next, _ = iter.Pull(p.run)
 	}
 	p.state = procRunning
-	p.resume <- struct{}{}
-	<-p.yield
-	if pp := p.e.pendingPanic; pp != nil {
-		p.e.pendingPanic = nil
-		panic(pp.value)
-	}
+	p.next()
 }
 
-// suspend parks the process goroutine and hands control back to the
-// engine. It returns when some event calls resumeNow.
+// suspend hands control back to whoever resumed the process. It
+// returns when some event calls resumeNow, and unwinds the body if the
+// process was killed meanwhile.
 func (p *Process) suspend() {
 	p.state = procBlocked
-	p.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) || p.killed {
 		panic(procKilledSentinel{})
 	}
 }
@@ -210,7 +252,7 @@ func (p *Process) Interrupt() {
 // interrupt.
 func (p *Process) Interrupted() bool { return p.interrupt }
 
-// Kill terminates a blocked process: its goroutine unwinds (running
+// Kill terminates a blocked process: its coroutine unwinds (running
 // deferred functions) and the process ends without resuming model
 // code. Killing an ended process is a no-op; killing a running process
 // (i.e. the caller itself) panics, because a process cannot unwind a
@@ -223,8 +265,7 @@ func (p *Process) Kill() {
 		panic(fmt.Sprintf("des: Kill of running process %q", p.name))
 	case procNew:
 		// Never started: mark ended so the start event is ignored.
-		p.state = procEnded
-		p.e.liveProcs--
+		p.end()
 		return
 	}
 	p.killed = true

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -241,4 +243,61 @@ func TestProcessAccessors(t *testing.T) {
 	if !p.Ended() {
 		t.Fatal("not ended")
 	}
+}
+
+func TestEngineCloseReclaims(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := NewEngine()
+	res := e.NewResource("r", 1)
+	box := e.NewMailbox("m")
+	var unwound []string
+	spawn := func(name string, delay float64, body func(*Process)) {
+		e.SpawnAt(name, delay, func(p *Process) {
+			defer func() { unwound = append(unwound, name) }()
+			body(p)
+			t.Errorf("%s resumed after its block", name)
+		})
+	}
+	spawn("hold", 0, func(p *Process) {
+		res.Acquire(p, 1)
+		p.Hold(1000)
+	})
+	spawn("passive", 0, func(p *Process) { p.Passivate() })
+	spawn("acquire", 0, func(p *Process) { res.Acquire(p, 1) })
+	spawn("recv", 0, func(p *Process) { box.Recv(p) })
+	spawn("unstarted", 500, func(p *Process) {})
+	e.RunUntil(10)
+	if e.LiveProcesses() != 5 {
+		t.Fatalf("live before Close = %d, want 5", e.LiveProcesses())
+	}
+	e.Close()
+	if want := []string{"hold", "passive", "acquire", "recv"}; !slices.Equal(unwound, want) {
+		t.Fatalf("deferred functions ran as %v, want %v", unwound, want)
+	}
+	if e.LiveProcesses() != 0 {
+		t.Fatalf("live after Close = %d", e.LiveProcesses())
+	}
+	if n := runtime.NumGoroutine(); n != baseline {
+		t.Fatalf("goroutines after Close = %d, baseline %d", n, baseline)
+	}
+	e.Close()
+	if len(unwound) != 4 || e.LiveProcesses() != 0 {
+		t.Fatalf("second Close not a no-op: unwound %v, live %d", unwound, e.LiveProcesses())
+	}
+	// The unstarted process's start event is still queued and must not
+	// run its body.
+	e.Run()
+}
+
+func TestEngineClosePanicsDuringRun(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(1, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Close inside Run did not panic")
+			}
+		}()
+		e.Close()
+	})
+	e.Run()
 }

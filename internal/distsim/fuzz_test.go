@@ -1,6 +1,9 @@
 package distsim
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -66,6 +69,67 @@ func FuzzUnmarshalFrame(f *testing.F) {
 			t.Fatalf("pooled decode err=%v, allocating decode err=%v", err2, err)
 		}
 	})
+}
+
+// FuzzLoadJournal throws arbitrary bytes at journal replay, the
+// decoder a restarting coordinator runs over its control-plane
+// journal: every input must load into a state or fail with
+// ErrJournalCorrupt or ErrJournalTruncated (a torn tail, which still
+// returns the valid prefix's state) — never panic. Each input is also
+// replayed with its record CRCs recomputed, so that mutations inside a
+// payload reach the record decoders instead of stopping at the
+// checksum. The seed corpus is the journal the replay tests build,
+// whole, torn at every record and in the middle of one, and followed
+// by the zeroed slack a live journal preallocates.
+func FuzzLoadJournal(f *testing.F) {
+	_, data := buildJournal(f)
+	for off := range recordBounds(data) {
+		if off <= len(data) {
+			f.Add(data[:off])
+		}
+		if off+5 <= len(data) {
+			f.Add(data[:off+5])
+		}
+	}
+	f.Add(append(append([]byte{}, data...), make([]byte, 64)...))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, resealJournal(data)} {
+			st, err := parseJournal(in)
+			switch {
+			case err == nil, errors.Is(err, ErrJournalTruncated):
+				if st == nil {
+					t.Fatalf("parseJournal returned no state with err=%v", err)
+				}
+				if st.validLen > int64(len(in)) {
+					t.Fatalf("valid prefix %d is longer than the %d-byte input", st.validLen, len(in))
+				}
+			case errors.Is(err, ErrJournalCorrupt):
+				if st != nil {
+					t.Fatalf("parseJournal returned a state alongside %v", err)
+				}
+			default:
+				t.Fatalf("untyped journal error: %v", err)
+			}
+		}
+	})
+}
+
+// resealJournal returns a copy of data with the CRC of every complete
+// record rewritten to match its payload.
+func resealJournal(data []byte) []byte {
+	out := append([]byte{}, data...)
+	off := journalHeaderLen
+	for off+4 <= len(out) {
+		n := int(binary.BigEndian.Uint32(out[off:]))
+		if n == 0 || n > len(out)-off-8 {
+			break
+		}
+		binary.BigEndian.PutUint32(out[off+4+n:], crc32.ChecksumIEEE(out[off+4:off+4+n]))
+		off += 8 + n
+	}
+	return out
 }
 
 // frameErrCase aliases frameLPState: the donor's error-reporting

@@ -15,7 +15,7 @@ import (
 // buildJournal writes a representative journal through the real
 // append API — genesis, barriers, a migration, a checkpoint mark, a
 // skip — and returns its path and raw bytes.
-func buildJournal(t *testing.T) (string, []byte) {
+func buildJournal(t testing.TB) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.journal")
 	j, err := createJournal(path)

@@ -137,7 +137,7 @@ func holdCostCalendar(resizable bool, n, ops int) float64 {
 // advanced mapping schemes in which multiple jobs can be simulated
 // running in the same thread context ... can yield higher simulation
 // performances." The same job population is simulated once with a
-// goroutine-backed Process per job (MONARC's active objects) and once
+// coroutine-backed Process per job (MONARC's active objects) and once
 // with all jobs multiplexed as closures on the engine's single
 // context.
 func E4ThreadMapping(jobs, holdsPerJob int) *metrics.Table {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/des"
 )
@@ -25,6 +26,14 @@ type Network struct {
 	flows      []*Flow // active flows, in start order (determinism)
 	lastUpdate float64
 
+	// Progressive-filling scratch, reused by every rebalance so that it
+	// allocates nothing once grown: residual capacity and unfixed-flow
+	// count per link, indexed by Link.ID, and the IDs of the links the
+	// active flows cross, ascending (the bottleneck tie-break order).
+	residual []float64
+	count    []int
+	touched  []int
+
 	// accounting
 	started   uint64
 	completed uint64
@@ -41,8 +50,10 @@ type Flow struct {
 	doneTime  float64
 	done      func()
 	timer     des.Timer
+	onEnd     func() // the net:flowend callback, built once per flow
 	net       *Network
 	finished  bool
+	fixed     bool // rate settled in the current rebalance
 }
 
 // Rate returns the flow's current allocated rate in bytes/second.
@@ -102,6 +113,13 @@ func (n *Network) Transfer(src, dst *Node, bytes float64, done func()) {
 		n.e.ScheduleNamed("net:zero", latency, func() { n.finish(f) })
 		return
 	}
+	f.onEnd = func() {
+		n.advance()
+		f.remaining = 0
+		n.removeFlow(f)
+		n.rebalance()
+		n.finish(f)
+	}
 	n.e.ScheduleNamed("net:flowstart", latency, func() {
 		n.advance()
 		n.flows = append(n.flows, f)
@@ -144,82 +162,95 @@ func (n *Network) advance() {
 // rebalance recomputes max-min fair rates and reschedules completions.
 // Must be called with byte accounting already advanced to Now.
 func (n *Network) rebalance() {
-	// Progressive filling. Residual capacity per link; flows are
-	// "fixed" once their bottleneck link saturates.
-	residual := make(map[*Link]float64)
-	count := make(map[*Link]int)
-	for _, f := range n.flows {
-		for _, l := range f.route {
-			if _, ok := residual[l]; !ok {
-				residual[l] = l.usable() * n.Efficiency
-			}
-			count[l]++
-		}
-	}
-	unfixed := make(map[*Flow]struct{}, len(n.flows))
-	for _, f := range n.flows {
-		unfixed[f] = struct{}{}
-		f.rate = 0
-	}
-	for len(unfixed) > 0 {
-		// Find the bottleneck link: minimal residual/count over links
-		// with unfixed flows.
-		var bottleneck *Link
-		best := math.Inf(1)
-		for l, c := range count {
-			if c == 0 {
-				continue
-			}
-			share := residual[l] / float64(c)
-			if share < best || (share == best && (bottleneck == nil || l.ID < bottleneck.ID)) {
-				best = share
-				bottleneck = l
-			}
-		}
-		if bottleneck == nil {
-			break
-		}
-		// Fix every unfixed flow crossing the bottleneck at the share.
-		for f := range unfixed {
-			crosses := false
-			for _, l := range f.route {
-				if l == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				continue
-			}
-			f.rate = best
-			delete(unfixed, f)
-			for _, l := range f.route {
-				residual[l] -= best
-				if residual[l] < 0 {
-					residual[l] = 0
-				}
-				count[l]--
-			}
-		}
-	}
+	n.maxMin()
 	// Reschedule completion events in flow-start order, so equal
-	// completion instants resolve deterministically.
+	// completion instants resolve deterministically. Every flow is
+	// rescheduled, changed rate or not: skipping one would renumber
+	// the events after it and reorder ties between equal times.
 	for _, f := range n.flows {
 		f.timer.Cancel()
 		f.timer = des.Timer{}
 		if f.rate <= 0 {
 			continue // stalled: no capacity on some link
 		}
-		f := f
-		eta := f.remaining / f.rate
-		f.timer = n.e.ScheduleNamed("net:flowend", eta, func() {
-			n.advance()
-			f.remaining = 0
-			n.removeFlow(f)
-			n.rebalance()
-			n.finish(f)
-		})
+		f.timer = n.e.ScheduleNamed("net:flowend", f.remaining/f.rate, f.onEnd)
 	}
+}
+
+// maxMin sets every active flow's rate to its max-min fair share by
+// progressive filling: flows are "fixed" once their bottleneck link
+// saturates. It allocates nothing once the scratch slices have grown
+// to the topology.
+func (n *Network) maxMin() {
+	if m := len(n.topo.links); len(n.residual) < m {
+		n.residual = make([]float64, m)
+		n.count = make([]int, m)
+	}
+	n.touched = n.touched[:0]
+	for _, f := range n.flows {
+		for _, l := range f.route {
+			if n.count[l.ID] == 0 {
+				n.touched = append(n.touched, l.ID)
+				n.residual[l.ID] = l.usable() * n.Efficiency
+			}
+			n.count[l.ID]++
+		}
+		f.rate = 0
+		f.fixed = false
+	}
+	slices.Sort(n.touched)
+	for unfixed := len(n.flows); unfixed > 0; {
+		// Find the bottleneck link: minimal residual/count over links
+		// with unfixed flows, the lowest ID among equal shares.
+		bottleneck := -1
+		best := math.Inf(1)
+		for _, id := range n.touched {
+			c := n.count[id]
+			if c == 0 {
+				continue
+			}
+			share := n.residual[id] / float64(c)
+			if share < best || (share == best && bottleneck < 0) {
+				best = share
+				bottleneck = id
+			}
+		}
+		if bottleneck < 0 {
+			break
+		}
+		// Fix every unfixed flow crossing the bottleneck at the share.
+		for _, f := range n.flows {
+			if f.fixed || !crosses(f.route, bottleneck) {
+				continue
+			}
+			f.rate = best
+			f.fixed = true
+			unfixed--
+			for _, l := range f.route {
+				r := n.residual[l.ID] - best
+				if r < 0 {
+					r = 0
+				}
+				n.residual[l.ID] = r
+				n.count[l.ID]--
+			}
+		}
+	}
+	// Leave every count at zero: the next call reads zero as "link not
+	// yet touched".
+	for _, id := range n.touched {
+		n.count[id] = 0
+	}
+}
+
+// crosses reports whether the route uses the link with the given ID.
+func crosses(route []*Link, id int) bool {
+	for _, l := range route {
+		if l.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 func (n *Network) removeFlow(f *Flow) {

@@ -110,6 +110,9 @@ type Result struct {
 // the T1 centres reading replicated data from their local stores.
 func Run(cfg Config) Result {
 	e, grid, sys, agent, recoCluster := build(cfg)
+	// Transfers and jobs still blocked at the horizon are reclaimed
+	// once the result below has been read.
+	defer e.Close()
 	src := e.Stream("monarc")
 
 	var recoTime, anaTime metrics.Summary

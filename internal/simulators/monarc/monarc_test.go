@@ -1,6 +1,10 @@
 package monarc
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -121,4 +125,46 @@ func TestBadConfigPanics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.T1Count = 0
 	Run(cfg)
+}
+
+// tierGoldenDigest is the FNV-64 digest of the tier study below. It
+// pins the sequential kernel's output bit for bit: a change that
+// reorders events or perturbs a flow rate changes it.
+const tierGoldenDigest uint64 = 0xb85899856e8f3a9e
+
+func TestTierStudyGolden(t *testing.T) {
+	h := fnv.New64()
+	var buf [8]byte
+	fold := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, p := range RunTierStudy(seed, []float64{0.622, 1.25, 2.5, 10, 30, 40}, 9, 350) {
+			fold(math.Float64bits(p.LinkGbps))
+			fold(p.Shipped)
+			fold(p.Expected)
+			fold(uint64(p.Backlog))
+			fold(math.Float64bits(p.MaxDelay))
+			fold(math.Float64bits(p.DeliveredPct))
+			if p.Sufficient {
+				fold(1)
+			} else {
+				fold(0)
+			}
+		}
+	}
+	if got := h.Sum64(); got != tierGoldenDigest {
+		t.Fatalf("tier study digest = %#x, want %#x", got, tierGoldenDigest)
+	}
+}
+
+func TestTierStudyLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for seed := uint64(1); seed <= 3; seed++ {
+		RunTierStudy(seed, []float64{0.622, 2.5, 30}, 9, 350)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after the tier study, %d before", n, baseline)
+	}
 }

@@ -36,6 +36,7 @@ type MonitoringResult struct {
 func ReplayMonitoring(cfg Config, records []monitoring.Record) (MonitoringResult, error) {
 	cfg.AnalysisJobs = 0 // the capture replaces the stochastic activity
 	e, grid, sys, agent, recoCluster := build(cfg)
+	defer e.Close()
 	_ = recoCluster
 
 	// Produce the dataset quickly so replayed jobs find data.

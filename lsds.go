@@ -67,7 +67,7 @@ func SelfProfile() *taxonomy.Profile { return core.SelfProfile() }
 type (
 	// Engine is the discrete-event kernel.
 	Engine = des.Engine
-	// Process is a simulated activity (goroutine-backed).
+	// Process is a simulated activity (coroutine-backed).
 	Process = des.Process
 	// Timer is a cancellable scheduled event.
 	Timer = des.Timer
